@@ -1,8 +1,9 @@
-"""EXP-S2 — parallel mirror broadcasts + online re-partitioning.
+"""EXP-S2 — mirror-broadcast latency + online re-partitioning.
 
-Asserts the two effects BENCH_PR4.json records: overlapped mirror
-broadcasts cut replicated mkdir/rmdir latency at high shard counts, and
-a hash-collision-skewed workload's throughput recovers once the
+Asserts the two effects of the sharded tier's replicated mutations and
+re-balancer: a replicated mkdir/rmdir pays one overlapped round of peer
+mirrors (the max of the round trips, not their sum), and a
+hash-collision-skewed workload's throughput recovers once the
 rebalancer re-homes the hot directories.
 """
 
@@ -17,17 +18,12 @@ def test_scaling_rebalance(benchmark):
     )
     r = out["results"]
 
-    # (a) Replicated-mutation latency: serial mirror chains pay the sum
-    # of the peer round trips, overlapped broadcasts roughly the max.
+    # (a) Replicated-mutation latency: a sharded tier pays a peer round
+    # trip one shard does not, and the mirrors overlap, so 4 shards pay
+    # the max of three round trips rather than their sum.
     for op in ("mkdir", "rmdir"):
-        # Latency grows with shard count under serial chains ...
-        assert r[(op, 2, "serial")] > r[(op, 1, "serial")] * 1.5, op
-        assert r[(op, 4, "serial")] > r[(op, 2, "serial")] * 1.3, op
-        # ... parallel broadcasts claw a real margin back at 4 shards
-        # (3 overlapped mirrors) ...
-        assert r[(op, 4, "parallel")] < r[(op, 4, "serial")] * 0.75, op
-        # ... and with a single peer there is nothing to overlap.
-        assert r[(op, 2, "parallel")] == r[(op, 2, "serial")], op
+        assert r[(op, 2)] > r[(op, 1)] * 1.5, op
+        assert r[(op, 4)] < r[(op, 2)] * 1.1, op
 
     # (b) The skewed workload is stuck at one shard's ceiling no matter
     # how many shards exist; after online re-partitioning it recovers.

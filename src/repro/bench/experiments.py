@@ -404,7 +404,7 @@ def run_scaling_mds(full=False, print_report=False, shard_counts=None):
 
 
 # ---------------------------------------------------------------------------
-# EXP-S2 — beyond the paper: parallel broadcasts and online re-partitioning
+# EXP-S2 — beyond the paper: mirror broadcasts and online re-partitioning
 # ---------------------------------------------------------------------------
 
 def _colliding_dir_names(sharding, parent, count, n_shards, shard=0):
@@ -425,16 +425,16 @@ def _colliding_dir_names(sharding, parent, count, n_shards, shard=0):
 
 
 def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
-    """Parallel mirror broadcasts and online load-aware re-partitioning.
+    """Mirror-broadcast latency and online load-aware re-partitioning.
 
     Two sub-experiments beyond ``scaling-mds``:
 
-    - **mkdir/rmdir latency vs shard count, serial vs parallel
-      broadcasts**: every mkdir/rmdir is a replicated mutation — local
-      transaction plus one mirror RPC per peer — so its latency grows
-      with the shard count.  Serial chains pay the *sum* of the peer
-      round trips, overlapped broadcasts (``parallel_broadcasts``) pay
-      roughly the *max*; the gap widens with shards.
+    - **mkdir/rmdir latency vs shard count**: every mkdir/rmdir is a
+      replicated mutation — local transaction plus one mirror RPC per
+      peer — so a sharded tier pays a peer round trip a single shard
+      does not.  The mirrors overlap, so adding peers costs the *max*
+      of their round trips, not the sum: latency stays roughly flat
+      from 2 shards up.
     - **skewed-workload throughput before/after migration**: every rank
       directory is chosen to hash onto shard 0 (see
       :func:`_colliding_dir_names`), so a stat-heavy workload bottlenecks
@@ -447,7 +447,8 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
 
     ``shard_counts`` (or ``REPRO_REBALANCE_SHARDS``, e.g. ``1,2``)
     overrides the default grid of the latency sweep; the skew experiment
-    uses the counts > 1.
+    uses the counts > 1.  ``virtual_ms`` sums every stack's final clock
+    (a deterministic fingerprint of the whole run).
     """
     from repro.core.shard import Rebalancer
 
@@ -461,26 +462,19 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
     dirs_per_proc = 32 if _full(full) else 16
     results = {}
     ops_done = 0  # measured ops actually driven (quick-bench volume)
+    virtual_ms = 0.0
 
-    # (a) mkdir/rmdir latency, serial vs parallel broadcasts.
+    # (a) mkdir/rmdir latency vs shard count.
     for n_shards in shard_counts:
-        modes = ("serial",) if n_shards <= 2 else ("serial", "parallel")
-        for mode in modes:
-            testbed = build_flat_testbed(nodes, with_mds=n_shards)
-            stack = CofsStack(testbed, cofs_config=CofsConfig(
-                parallel_broadcasts=(mode == "parallel")))
-            res = run_metarates(stack, MetaratesConfig(
-                nodes=nodes, files_per_proc=dirs_per_proc,
-                ops=("mkdir", "rmdir"),
-            ))
-            for op in ("mkdir", "rmdir"):
-                results[(op, n_shards, mode)] = res.mean_ms(op)
-                ops_done += res.recorder.count(op)
-        if n_shards <= 2:
-            # ≤1 peer: overlap cannot differ from the serial chain.
-            for op in ("mkdir", "rmdir"):
-                results[(op, n_shards, "parallel")] = \
-                    results[(op, n_shards, "serial")]
+        testbed = build_flat_testbed(nodes, with_mds=n_shards)
+        res = run_metarates(CofsStack(testbed), MetaratesConfig(
+            nodes=nodes, files_per_proc=dirs_per_proc,
+            ops=("mkdir", "rmdir"),
+        ))
+        for op in ("mkdir", "rmdir"):
+            results[(op, n_shards)] = res.mean_ms(op)
+            ops_done += res.recorder.count(op)
+        virtual_ms += testbed.sim.now
 
     # (b) skewed stat workload, before/after online re-partitioning.
     skew_counts = [n for n in shard_counts if n > 1]
@@ -506,19 +500,18 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
             stack, dataclasses.replace(config, assume_seeded=True))
         results[("skew-stat", n_shards, "after")] = rerun.rate_per_s("stat")
         ops_done += skewed.recorder.count("stat") + rerun.recorder.count("stat")
+        virtual_ms += testbed.sim.now
 
     out = {"shards": tuple(shard_counts), "nodes": nodes,
            "dirs_per_proc": dirs_per_proc, "ops_done": ops_done,
-           "results": results}
+           "virtual_ms": virtual_ms, "results": results}
     if print_report:
         rows = [
-            [n_shards, op,
-             round(results[(op, n_shards, "serial")], 4),
-             round(results[(op, n_shards, "parallel")], 4)]
+            [n_shards, op, round(results[(op, n_shards)], 4)]
             for n_shards in shard_counts for op in ("mkdir", "rmdir")
         ]
         print(format_table(
-            ["shards", "op", "serial ms/op", "parallel ms/op"], rows,
+            ["shards", "op", "ms/op"], rows,
             title=f"Replicated mkdir/rmdir latency ({nodes} nodes)",
         ))
         rows = [
@@ -678,7 +671,8 @@ def run_scaling_failover(full=False, print_report=False):
       any lost record).
 
     The run ends with the tier-wide and group invariant oracles plus the
-    trace-invariant checker over the kill run's spans.
+    trace-invariant checker over the kill run's spans.  ``virtual_ms``
+    sums both stacks' final clocks (a deterministic fingerprint).
     """
     from repro.core.faults import (
         check_group_invariants, check_tier_invariants, kill_primary,
@@ -695,6 +689,7 @@ def run_scaling_failover(full=False, print_report=False):
     # run's tail latencies absorb the gap instead of an untimed seeding
     # phase hiding it.
     results = {}
+    virtual_ms = 0.0
     owned_obs = obs.TRACER is None  # enable tracing just for the kill run
     for mode in ("baseline", "failover"):
         testbed = build_flat_testbed(nodes, with_mds=shards * replicas)
@@ -723,10 +718,12 @@ def run_scaling_failover(full=False, print_report=False):
             results[(mode, op, "p99_ms")] = res.recorder.p99(op)
             results[(mode, op, "max_ms")] = res.recorder.summary(op).max
             results[(mode, op, "rate")] = res.rate_per_s(op)
+        virtual_ms += sim.now
         if mode == "failover":
             assert killed, "the kill never fired (run too short?)"
             group = stack.groups[0]
             assert group.failovers == 1, "no failover was driven"
+            results[("failover", "failovers")] = group.failovers
             spans = obs.TRACER.spans[mark:]
             obs.TraceChecker(obs.TRACER).check_all()
             # The availability gap is the failover span, not ad-hoc
@@ -756,7 +753,7 @@ def run_scaling_failover(full=False, print_report=False):
             check_group_invariants(stack.groups)
     out = {"nodes": nodes, "procs_per_node": procs_per_node,
            "files_per_proc": fpp, "shards": shards, "replicas": replicas,
-           "ops": ops, "results": results}
+           "ops": ops, "virtual_ms": virtual_ms, "results": results}
     if print_report:
         rows = [
             [mode, op,

@@ -111,19 +111,18 @@ def _quick_scaling_async():
 
 
 def _quick_rebalance():
-    """Parallel broadcasts + online re-partitioning at small scale.
+    """Mirror broadcasts + online re-partitioning at small scale.
 
-    One mkdir/rmdir run with overlapped mirrors and the skewed-stat /
-    rebalance / re-run cycle, both at 3 shards — the wall-clock smoke
-    for the PR 4 machinery (simulated numbers are asserted in
-    ``benchmarks/test_scaling_rebalance.py``).
+    mkdir/rmdir runs at 1 and 3 shards (two overlapped mirrors) and the
+    skewed-stat / rebalance / re-run cycle at 3 shards — the wall-clock
+    smoke for the re-partitioning machinery (simulated numbers are
+    asserted in ``benchmarks/test_scaling_rebalance.py``).  The
+    fingerprint is the experiment's summed final clocks.
     """
     from repro.bench.experiments import run_scaling_rebalance
 
     out = run_scaling_rebalance(shard_counts=(1, 3))
-    # The experiment reports its own measured-op volume; the virtual
-    # clock is not meaningful across its many stacks, so report 0.
-    return out["ops_done"], 0.0
+    return out["ops_done"], out["virtual_ms"]
 
 
 def _quick_split():
@@ -131,9 +130,7 @@ def _quick_split():
 
     The wall-clock smoke for the intra-directory partitioning machinery
     (simulated speedups are asserted in ``benchmarks/test_scaling_split.py``).
-    Unlike the rebalance/failover smokes this one *does* report a
-    virtual-time fingerprint: the experiment sums its stacks' final
-    clocks, and the storm is deterministic.
+    The fingerprint is the experiment's summed final clocks.
     """
     from repro.bench.experiments import run_scaling_split
 
@@ -147,14 +144,14 @@ def _quick_failover():
     Runs the full failover experiment at quick scale — baseline and
     kill runs, invariant oracles included; the wall-clock smoke for the
     replication machinery (simulated numbers are asserted in
-    ``benchmarks/test_scaling_failover.py``).
+    ``benchmarks/test_scaling_failover.py``).  The fingerprint is the
+    baseline and kill stacks' summed final clocks.
     """
     from repro.bench.experiments import run_scaling_failover
 
     out = run_scaling_failover()
-    # Report the measured-op volume; the virtual clock spans two stacks,
-    # so report 0 like the rebalance smoke.
-    return out["results"][("failover", "post_failover_ops")], 0.0
+    return out["results"][("failover", "post_failover_ops")], \
+        out["virtual_ms"]
 
 
 def _quick_table1():

@@ -25,11 +25,6 @@ class CofsConfig:
     underlying_root: str = "/.cofs"
     #: MDS dispatch CPU per request, beyond per-query DB costs.
     mds_dispatch_cpu_ms: float = 0.02
-    #: overlap the sharded tier's mirror broadcasts and skeleton fan-outs
-    #: (``sim.all_of`` over the per-peer RPCs) instead of chaining them
-    #: serially.  Off by default: serial chains are the seed behavior all
-    #: reference figures were measured with.
-    parallel_broadcasts: bool = False
     #: request/response sizes for driver<->service messages.
     rpc_bytes: int = 512
     #: route read-only ops (``stat``/``readlink``/``readdir``) to an

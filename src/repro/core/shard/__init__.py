@@ -16,9 +16,8 @@ onto them as noted in :mod:`repro.core.sharding`):
   resolution hooks and read handlers.
 - :mod:`repro.core.shard.replication` — the replicated directory/symlink
   skeleton: mutation handlers that pair a local transaction with a
-  redoable mirror broadcast, and the broadcast primitive (serial by
-  default, overlapped via ``sim.all_of`` under
-  ``CofsConfig.parallel_broadcasts``).  Also the primary/backup shard
+  redoable mirror broadcast, and the broadcast primitive (per-peer RPCs
+  overlapped via ``sim.all_of``).  Also the primary/backup shard
   groups (:class:`ReplicatedShard`): synchronous journal log shipping
   with quorum acknowledgement, epoch-fenced failover, snapshot rejoin,
   and bounded-staleness follower reads, with :class:`GroupTargets`

@@ -330,23 +330,7 @@ class ShardRecoveryPart:
         rows = sorted(dead.items())
         yield from self.dbsvc.execute(self._fence_body(rows))
         yield from self._force_fence_row()
-        peers = [shard for shard in range(self.n_shards)
-                 if shard != self.shard_id]
-        if self.config.parallel_broadcasts and len(peers) > 1:
-            # The fence phase sits inside the admission-gate outage:
-            # overlap the installs (max, not sum, of the round trips),
-            # exactly like the mirror broadcasts.
-            procs = [
-                self.sim.process(
-                    self._peer(shard, "install_fences", rows),
-                    name=f"fence-s{self.shard_id}to{shard}",
-                )
-                for shard in peers
-            ]
-            yield self.sim.all_of(procs)
-        else:
-            for shard in peers:
-                yield from self._peer(shard, "install_fences", rows)
+        yield from self._fan_out("install_fences", rows)
         return True
 
     def reseat_allocators(self):
@@ -428,10 +412,6 @@ class ShardRecoveryPart:
         completion pass, which already re-broadcast every half-finished
         replication — what remains diverging here is journal loss, and
         the authority's survived prefix is the truth.
-
-        The per-shard ``skeleton_map`` gather is a read-only fan-out;
-        with ``config.parallel_broadcasts`` the RPCs overlap (recovery
-        latency is max, not sum, of the shard round trips).
         """
         maps = yield from self._gather_maps()
         auth = {}
@@ -471,27 +451,9 @@ class ShardRecoveryPart:
 
     def _gather_maps(self):
         """Coroutine: every shard's skeleton replica, in shard order."""
-        if not self.config.parallel_broadcasts or self.n_shards <= 2:
-            maps = []
-            for shard in range(self.n_shards):
-                maps.append(
-                    (yield from self._call_shard(shard, "skeleton_map")))
-            return maps
         local = yield from self.skeleton_map()
-        procs = [
-            self.sim.process(
-                self._peer(shard, "skeleton_map"),
-                name=f"skelmap-s{self.shard_id}to{shard}",
-            )
-            for shard in range(self.n_shards) if shard != self.shard_id
-        ]
-        remote = yield self.sim.all_of(procs)
-        maps = []
-        for shard in range(self.n_shards):
-            if shard == self.shard_id:
-                maps.append(local)
-            else:
-                maps.append(remote.pop(0))
+        maps = yield from self._fan_out("skeleton_map")
+        maps.insert(self.shard_id, local)
         return maps
 
     def skeleton_map(self):

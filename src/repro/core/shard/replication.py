@@ -33,19 +33,13 @@ Two distinct replication mechanisms live here:
    bounded-staleness follower reads (see
    :meth:`~repro.core.shard.routing.ShardRouter._read_driver`).
 
-Broadcasts are **serial** RPC chains by default — one mirror at a time,
-the seed behavior every figure was measured with.  With
-``CofsConfig.parallel_broadcasts`` the per-peer RPCs overlap via
-``sim.all_of`` (one child process per peer): the coordinator still answers
-only after *every* mirror applied, but pays max instead of sum of the peer
-round trips.  No new recovery machinery is needed — the per-op intent
-records journaled with the local change already make the redo safe
-regardless of how many mirrors landed, in any order, before a crash
-(proven per boundary by the parallel scenarios in
-``tests/core/test_crash_points.py``).  Under fault injection a crash in
-one overlapped mirror kills the coordinator immediately (all-of fails
-fast); sibling RPCs already in the network may still land on healthy
-peers, exactly as real in-flight messages would.
+Mirror broadcasts overlap their per-peer RPCs
+(:meth:`~repro.core.shard.routing.ShardRoutingPart._fan_out`): the
+coordinator answers only after *every* mirror applied, and pays the max,
+not the sum, of the peer round trips.  The per-op intent records
+journaled with the local change make the redo safe however many mirrors
+landed, in any order, before a crash (proven per boundary by the 3- and
+4-shard scenarios in ``tests/core/test_crash_points.py``).
 """
 
 from repro import obs
@@ -77,34 +71,16 @@ class ShardReplicationPart:
     def _broadcast(self, method, *args, stamp=None):
         """Coroutine: apply a mirror op on every other shard.
 
-        Serial peer-by-peer by default; overlapped with ``sim.all_of``
-        when ``config.parallel_broadcasts`` is set and there is more than
-        one peer (a single peer gains nothing from the fan-out).  Results
-        keep shard order in both modes.  ``stamp`` is the issuing
-        operation's ``(coordinator, epoch)``; without one the broadcast
-        carries the live epoch (recovery redo, which is always current).
-        The stamp is appended as each mirror RPC's last argument — it is
+        Results keep shard order.  ``stamp`` is the issuing operation's
+        ``(coordinator, epoch)``; without one the broadcast carries the
+        live epoch (recovery redo, which is always current).  The stamp
+        is appended as each mirror RPC's last argument — it is
         deliberately *not* part of the recorded intent args, so a redo
         replays under the recovering coordinator's fresh epoch.
         """
         if stamp is None:
             stamp = self._stamp()
-        peers = [shard for shard in range(self.n_shards)
-                 if shard != self.shard_id]
-        if not self.config.parallel_broadcasts or len(peers) <= 1:
-            results = []
-            for shard in peers:
-                results.append(
-                    (yield from self._peer(shard, method, *args, stamp)))
-            return results
-        procs = [
-            self.sim.process(
-                self._peer(shard, method, *args, stamp),
-                name=f"mirror-{method}-s{self.shard_id}to{shard}",
-            )
-            for shard in peers
-        ]
-        results = yield self.sim.all_of(procs)
+        results = yield from self._fan_out(method, *args, stamp)
         return results
 
     def _txn_mirror_intent(self, txn, mirror, args, epoch=None):

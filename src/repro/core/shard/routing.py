@@ -731,7 +731,7 @@ class ShardRoutingPart:
         """Coroutine: run a shard-to-shard (or member) RPC under a span.
 
         Created in the issuing process but possibly *executed* in a
-        spawned child (parallel broadcasts / fence fan-outs): the span
+        spawned child (a :meth:`_fan_out` peer call): the span
         opens on first resume, inside the child, whose inherited ``ctx``
         parents it correctly.
         """
@@ -758,6 +758,28 @@ class ShardRoutingPart:
         if shard == self.shard_id:
             return getattr(self, method)(*args)
         return self._peer(shard, method, *args)
+
+    def _fan_out(self, method, *args):
+        """Coroutine: ``method`` on every peer shard, results in shard order.
+
+        The peer RPCs overlap via ``sim.all_of`` (one child process per
+        peer), so the caller pays the slowest round trip, not their sum.
+        A lone peer is called in place: there is nothing to overlap.
+        Under fault injection a crash in one child fails the whole
+        fan-out at once; siblings already in the network may still land
+        on healthy peers, exactly as real in-flight messages would.
+        """
+        peers = [shard for shard in range(self.n_shards)
+                 if shard != self.shard_id]
+        if len(peers) == 1:
+            return [(yield from self._peer(peers[0], method, *args))]
+        procs = [
+            self.sim.process(self._peer(shard, method, *args),
+                             name=f"{method}-s{self.shard_id}to{shard}")
+            for shard in peers
+        ]
+        results = yield self.sim.all_of(procs)
+        return results
 
     def _redispatch(self, fwd, method, *args):
         """Coroutine: restart ``method`` where a forward says it belongs."""

@@ -7,7 +7,7 @@ the old ``repro/core/sharding.py`` monolith):
 - :class:`~repro.core.shard.routing.ShardRoutingPart` — shard arithmetic,
   peer RPCs, forwards, read handlers;
 - :class:`~repro.core.shard.replication.ShardReplicationPart` — skeleton
-  replication and (serial or overlapped) mirror broadcasts;
+  replication and mirror broadcasts;
 - :class:`~repro.core.shard.coordination.ShardCoordinationPart` —
   intent/prepare/dedup records, cross-shard rename/link, migration;
 - :class:`~repro.core.shard.rebalance.ShardRebalancePart` — online

@@ -21,7 +21,7 @@ Beyond the paper's four ops, the sharded-tier experiments add:
   underlying object), exposing the metadata tier's own create ceiling
   that the underlying-FS-bound full create hides (COFS stacks only);
 - **mkdir / rmdir** — replicated-mutation latency probes (each pays one
-  mirror RPC per extra shard, the cost parallel broadcasts attack);
+  overlapped round of mirror RPCs to the other shards);
 - ``rank_dir_names`` — explicit per-rank directories for *skewed*
   layouts (e.g. names that all hash onto one shard), paired with
   ``assume_seeded`` so a before/after-rebalance pair of runs can reuse

@@ -30,7 +30,6 @@ import os
 
 import pytest
 
-from repro.core.config import CofsConfig
 from repro.core.faults import (
     CrashInjected,
     CrashSchedule,
@@ -230,12 +229,11 @@ SCENARIOS = {
         op=[("rebalance", "/a", 1)],
         invisible=True,
     ),
-    "rebalance-dir-parallel": dict(
+    "rebalance-dir-3shards": dict(
         shards=3,
         setup=[("mkdir", "/a"), ("create", "/a/f"), ("create", "/a/g")],
         op=[("rebalance", "/a", 2)],
         invisible=True,
-        parallel=True,
     ),
     # -- intra-directory splits: hash-partitioning a hot directory's
     #    entries across shards.  Same invisibility rule as re-homing,
@@ -258,13 +256,12 @@ SCENARIOS = {
         op=[("split", "/a", [0, 1])],
         invisible=True,
     ),
-    "split-dir-parallel": dict(
+    "split-dir-3shards": dict(
         shards=3,
         setup=[("mkdir", "/a"), ("create", "/a/f"), ("create", "/a/g"),
                ("create", "/a/h")],
         op=[("split", "/a", [0, 1, 2])],
         invisible=True,
-        parallel=True,
     ),
     "merge-split-dir": dict(
         # The inverse protocol: every partition's entries come home and
@@ -286,38 +283,28 @@ SCENARIOS = {
         op=[("split", "/a", [0, 1, 2])],
         invisible=True,
     ),
-    # -- parallel mirror broadcasts: same protocols, overlapped fan-out;
-    #    ≥3 shards so at least two mirrors genuinely overlap.
-    "mkdir-replicated-4shards-parallel": dict(
-        shards=4,
-        setup=[("mkdir", "/a")],
-        op=[("mkdir", "/a/sub")],
-        parallel=True,
-    ),
-    "symlink-replicated-parallel": dict(
+    # -- overlapped mirror broadcasts: ≥3 shards so at least two
+    #    mirrors genuinely overlap (mkdir-replicated-4shards above too).
+    "symlink-replicated-3shards": dict(
         shards=3,
         setup=[("mkdir", "/a"), ("mkdir", "/b")],
         op=[("symlink", "/a", "/b/ln")],
-        parallel=True,
     ),
-    "rmdir-replicated-parallel": dict(
+    "rmdir-replicated-3shards": dict(
         shards=3,
         setup=[("mkdir", "/a"), ("mkdir", "/a/sub")],
         op=[("rmdir", "/a/sub")],
-        parallel=True,
     ),
-    "setattr-dir-broadcast-parallel": dict(
+    "setattr-dir-broadcast-4shards": dict(
         shards=4,
         setup=[("mkdir", "/a"), ("mkdir", "/a/sub")],
         op=[("chmod", "/a/sub")],
-        parallel=True,
     ),
-    "rename-replicated-dir-parallel": dict(
+    "rename-replicated-dir-3shards": dict(
         shards=3,
         setup=[("mkdir", "/a"), ("mkdir", "/b"), ("mkdir", "/a/d"),
                ("create", "/a/d/f"), ("create", "/a/d/g")],
         op=[("rename", "/a/d", "/b/d")],
-        parallel=True,
     ),
 }
 
@@ -326,11 +313,8 @@ PROBE = [("create", "/a/probe"), ("unlink", "/a/probe")]
 
 
 def _build(spec):
-    cofs_config = CofsConfig(parallel_broadcasts=True) \
-        if spec.get("parallel") else None
     host = ShardedCofs(
-        n_clients=1, shards=spec["shards"], sharding=_split(spec["shards"]),
-        cofs_config=cofs_config)
+        n_clients=1, shards=spec["shards"], sharding=_split(spec["shards"]))
     host.run(_apply(host, spec["setup"]))
     return host
 
@@ -662,7 +646,7 @@ def test_readers_never_lose_an_entry_mid_migration(name):
 
 #: rename scenarios for the old-XOR-new reader drill, one per flavor:
 #: same-shard replicated dir, cross-shard file, renamed-subtree move
-#: (serial and parallel broadcasts), and a split directory re-keying its
+#: (at 2 and 3 shards), and a split directory re-keying its
 #: partition rows.  Each probe lists a name's old and new alternatives —
 #: a concurrent walk must resolve at least one at every instant
 #: (old, new, or both during the staged window — never neither).
@@ -680,7 +664,7 @@ RENAME_READS = {
                 ["/a/d/g", "/b/d/g"]],
         listings={},
     ),
-    "rename-replicated-dir-parallel": dict(
+    "rename-replicated-dir-3shards": dict(
         probes=[["/a/d", "/b/d"], ["/a/d/f", "/b/d/f"],
                 ["/a/d/g", "/b/d/g"]],
         listings={},

@@ -212,10 +212,7 @@ SHARD_OPERATIONS = st.lists(
 
 
 def _sharded_stacks():
-    """The comparison grid: 2- and 4-shard tiers under both policies,
-    plus a 4-shard tier with overlapped mirror broadcasts."""
-    from repro.core.config import CofsConfig
-
+    """The comparison grid: 2- and 4-shard tiers under both policies."""
     return [
         ShardedCofs(n_clients=1, shards=2, sharding=HashDirSharding()),
         ShardedCofs(n_clients=1, shards=4, sharding=HashDirSharding()),
@@ -223,8 +220,6 @@ def _sharded_stacks():
                     sharding=SubtreeSharding({"/d1": 1, "/d2": 0})),
         ShardedCofs(n_clients=1, shards=4,
                     sharding=SubtreeSharding({"/d1": 1, "/d2": 3})),
-        ShardedCofs(n_clients=1, shards=4, sharding=HashDirSharding(),
-                    cofs_config=CofsConfig(parallel_broadcasts=True)),
     ]
 
 
@@ -448,8 +443,6 @@ def test_rename_storm_under_live_walkers_matches_single_shard():
     final namespace must match the serial 1-shard oracle, which never
     splits anything and has no walkers at all.
     """
-    from repro.core.config import CofsConfig
-
     reference = MountedCofs(1)
     ref_out = reference.run(apply_ops(reference.mounts[0], STORM_SETUP))
     ref_out += reference.run(apply_ops(reference.mounts[0], STORM_A))
@@ -458,8 +451,7 @@ def test_rename_storm_under_live_walkers_matches_single_shard():
 
     hosts = [
         ShardedCofs(n_clients=3, shards=2, sharding=HashDirSharding()),
-        ShardedCofs(n_clients=3, shards=4, sharding=HashDirSharding(),
-                    cofs_config=CofsConfig(parallel_broadcasts=True)),
+        ShardedCofs(n_clients=3, shards=4, sharding=HashDirSharding()),
     ]
     for host in hosts:
         label = (host.stack.n_shards, "rename-storm")
