@@ -463,6 +463,7 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
     results = {}
     ops_done = 0  # measured ops actually driven (quick-bench volume)
     virtual_ms = 0.0
+    events = 0
 
     # (a) mkdir/rmdir latency vs shard count.
     for n_shards in shard_counts:
@@ -475,6 +476,7 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
             results[(op, n_shards)] = res.mean_ms(op)
             ops_done += res.recorder.count(op)
         virtual_ms += testbed.sim.now
+        events += testbed.sim.sequence
 
     # (b) skewed stat workload, before/after online re-partitioning.
     skew_counts = [n for n in shard_counts if n > 1]
@@ -501,10 +503,11 @@ def run_scaling_rebalance(full=False, print_report=False, shard_counts=None):
         results[("skew-stat", n_shards, "after")] = rerun.rate_per_s("stat")
         ops_done += skewed.recorder.count("stat") + rerun.recorder.count("stat")
         virtual_ms += testbed.sim.now
+        events += testbed.sim.sequence
 
     out = {"shards": tuple(shard_counts), "nodes": nodes,
            "dirs_per_proc": dirs_per_proc, "ops_done": ops_done,
-           "virtual_ms": virtual_ms, "results": results}
+           "virtual_ms": virtual_ms, "events": events, "results": results}
     if print_report:
         rows = [
             [n_shards, op, round(results[(op, n_shards)], 4)]
@@ -581,6 +584,7 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
     results = {}
     ops_done = 0
     virtual_ms = 0.0
+    events = 0
     for n_shards in shard_counts:
         for mode in ("unsplit", "split"):
             if mode == "split" and n_shards == 1:
@@ -613,12 +617,13 @@ def run_scaling_split(full=False, print_report=False, shard_counts=None):
                 results[(op, n_shards, mode, "mean_ms")] = res.mean_ms(op)
             ops_done += sum(res.recorder.count(op) for op in ops)
             virtual_ms += stack.testbed.sim.now
+            events += stack.testbed.sim.sequence
             if mode == "split":
                 check_tier_invariants(stack.shards, stack.sharding)
     out = {"shards": tuple(shard_counts), "nodes": nodes,
            "procs_per_node": procs_per_node, "files_per_proc": fpp,
            "ops": ops, "ops_done": ops_done, "virtual_ms": virtual_ms,
-           "results": results}
+           "events": events, "results": results}
     if print_report:
         rows = [
             [n_shards,
@@ -690,6 +695,7 @@ def run_scaling_failover(full=False, print_report=False):
     # phase hiding it.
     results = {}
     virtual_ms = 0.0
+    events = 0
     owned_obs = obs.TRACER is None  # enable tracing just for the kill run
     for mode in ("baseline", "failover"):
         testbed = build_flat_testbed(nodes, with_mds=shards * replicas)
@@ -719,6 +725,7 @@ def run_scaling_failover(full=False, print_report=False):
             results[(mode, op, "max_ms")] = res.recorder.summary(op).max
             results[(mode, op, "rate")] = res.rate_per_s(op)
         virtual_ms += sim.now
+        events += sim.sequence
         if mode == "failover":
             assert killed, "the kill never fired (run too short?)"
             group = stack.groups[0]
@@ -753,7 +760,8 @@ def run_scaling_failover(full=False, print_report=False):
             check_group_invariants(stack.groups)
     out = {"nodes": nodes, "procs_per_node": procs_per_node,
            "files_per_proc": fpp, "shards": shards, "replicas": replicas,
-           "ops": ops, "virtual_ms": virtual_ms, "results": results}
+           "ops": ops, "virtual_ms": virtual_ms, "events": events,
+           "results": results}
     if print_report:
         rows = [
             [mode, op,
@@ -821,6 +829,7 @@ def run_scaling_async(full=False, print_report=False, shard_counts=None):
     results = {}
     ops_done = 0
     virtual_ms = 0.0
+    events = 0
     owned_obs = obs.TRACER is None  # trace just the async legs
     for n_shards in shard_counts:
         for mode in ("sync", "async"):
@@ -849,10 +858,11 @@ def run_scaling_async(full=False, print_report=False, shard_counts=None):
                 check_tier_invariants(stack.shards, stack.sharding)
             ops_done += sum(res.recorder.count(op) for op in ops)
             virtual_ms += stack.testbed.sim.now
+            events += stack.testbed.sim.sequence
     out = {"shards": tuple(shard_counts), "nodes": nodes,
            "procs_per_node": procs_per_node, "files_per_proc": fpp,
            "ops": ops, "ops_done": ops_done, "virtual_ms": virtual_ms,
-           "results": results}
+           "events": events, "results": results}
     if print_report:
         rows = [
             [n_shards,

@@ -4,6 +4,10 @@ Each entry here drives a miniature version of one paper experiment and
 records *wall-clock* cost alongside the simulated work done, so successive
 PRs can track how fast the harness itself is (the simulated results are
 checked elsewhere; this module is about seconds and ops/sec of real time).
+Each record also carries ``events``: the sum of every stack's final kernel
+sequence number (heap entries scheduled), summed like ``virtual_ms``.  It is
+deterministic, so it tracks the harness cost of an experiment without timing
+noise; only ``virtual_ms`` is gated.
 
 ``python -m repro.bench --quick --json BENCH_PR1.json`` runs the whole
 suite and appends one labelled run to the JSON file, keeping earlier runs
@@ -37,9 +41,11 @@ def _stack(system, n_clients, topology="flat"):
 
 def _metarates_runs(runs):
     """Drive a list of (system, nodes, procs, files_per_proc, ops, topology)
-    metarates configurations; returns (simulated_ops, final_virtual_ms)."""
+    metarates configurations; returns (simulated_ops, final_virtual_ms,
+    kernel events)."""
     ops_done = 0
     virtual_ms = 0.0
+    events = 0
     for system, nodes, procs, fpp, ops, topology in runs:
         stack = _stack(system, nodes, topology=topology)
         config = MetaratesConfig(
@@ -48,7 +54,8 @@ def _metarates_runs(runs):
         res = run_metarates(stack, config)
         ops_done += sum(res.recorder.count(op) for op in ops)
         virtual_ms += stack.testbed.sim.now
-    return ops_done, virtual_ms
+        events += stack.testbed.sim.sequence
+    return ops_done, virtual_ms, events
 
 
 def _quick_fig1():
@@ -81,6 +88,7 @@ def _quick_scaling():
     """Sharded metadata tier at 1 and 2 shards (private-dir metarates)."""
     ops_done = 0
     virtual_ms = 0.0
+    events = 0
     for n_shards in (1, 2):
         testbed = build_flat_testbed(4, with_mds=n_shards)
         stack = CofsStack(testbed)
@@ -91,7 +99,8 @@ def _quick_scaling():
         res = run_metarates(stack, config)
         ops_done += sum(res.recorder.count(op) for op in config.ops)
         virtual_ms += stack.testbed.sim.now
-    return ops_done, virtual_ms
+        events += stack.testbed.sim.sequence
+    return ops_done, virtual_ms, events
 
 
 def _quick_scaling_async():
@@ -107,7 +116,7 @@ def _quick_scaling_async():
     from repro.bench.experiments import run_scaling_async
 
     out = run_scaling_async(shard_counts=(1, 2))
-    return out["ops_done"], out["virtual_ms"]
+    return out["ops_done"], out["virtual_ms"], out["events"]
 
 
 def _quick_rebalance():
@@ -122,7 +131,7 @@ def _quick_rebalance():
     from repro.bench.experiments import run_scaling_rebalance
 
     out = run_scaling_rebalance(shard_counts=(1, 3))
-    return out["ops_done"], out["virtual_ms"]
+    return out["ops_done"], out["virtual_ms"], out["events"]
 
 
 def _quick_split():
@@ -135,7 +144,7 @@ def _quick_split():
     from repro.bench.experiments import run_scaling_split
 
     out = run_scaling_split(shard_counts=(1, 4))
-    return out["ops_done"], out["virtual_ms"]
+    return out["ops_done"], out["virtual_ms"], out["events"]
 
 
 def _quick_failover():
@@ -150,13 +159,14 @@ def _quick_failover():
     from repro.bench.experiments import run_scaling_failover
 
     out = run_scaling_failover()
-    return out["results"][("failover", "post_failover_ops")], \
-        out["virtual_ms"]
+    return (out["results"][("failover", "post_failover_ops")],
+            out["virtual_ms"], out["events"])
 
 
 def _quick_table1():
     ops_done = 0
     virtual_ms = 0.0
+    events = 0
     for system in ("pfs", "cofs"):
         stack = _stack(system, 2)
         config = IorConfig(nodes=2, aggregate_bytes=64 * MB)
@@ -164,7 +174,8 @@ def _quick_table1():
         # One simulated "op" per transferred chunk, write then read phase.
         ops_done += 2 * (config.aggregate_bytes // config.xfer_bytes)
         virtual_ms += stack.testbed.sim.now
-    return ops_done, virtual_ms
+        events += stack.testbed.sim.sequence
+    return ops_done, virtual_ms, events
 
 
 QUICK_EXPERIMENTS = {
@@ -203,7 +214,7 @@ def run_quick(names=None, label=None, print_report=True, obs_dir=None):
             from repro import obs
             obs.enable()
         start = time.perf_counter()
-        ops_done, virtual_ms = QUICK_EXPERIMENTS[name]()
+        ops_done, virtual_ms, events = QUICK_EXPERIMENTS[name]()
         wall_s = time.perf_counter() - start
         if obs_dir is not None:
             _export_obs(obs_dir, name, print_report)
@@ -213,6 +224,7 @@ def run_quick(names=None, label=None, print_report=True, obs_dir=None):
             "sim_ops": ops_done,
             "ops_per_s": round(ops_done / wall_s, 1) if wall_s > 0 else 0.0,
             "virtual_ms": round(virtual_ms, 3),
+            "events": events,
         }
     run = {
         "label": label or "unlabelled",
@@ -221,11 +233,12 @@ def run_quick(names=None, label=None, print_report=True, obs_dir=None):
     }
     if print_report:
         rows = [
-            [name, rec["wall_s"], rec["sim_ops"], rec["ops_per_s"]]
+            [name, rec["wall_s"], rec["sim_ops"], rec["ops_per_s"],
+             rec["events"]]
             for name, rec in experiments.items()
         ]
         print(format_table(
-            ["experiment", "wall s", "sim ops", "ops/s"], rows,
+            ["experiment", "wall s", "sim ops", "ops/s", "events"], rows,
             title=f"Quick bench — {run['label']}",
         ))
     return run

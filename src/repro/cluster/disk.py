@@ -54,7 +54,7 @@ class Disk:
             claim = self._device.request()
             yield claim
         try:
-            yield self.sim.timeout(self.service_time(size, sequential))
+            yield from self.sim.sleep(self.service_time(size, sequential))
         finally:
             self._device.release(claim)
 
@@ -153,7 +153,7 @@ class GroupCommitLog:
             claim = device.request()
             yield claim
         try:
-            yield self.sim.timeout(cost)
+            yield from self.sim.sleep(cost)
         finally:
             device.release(claim)
         self.disk.writes += 1

@@ -70,8 +70,9 @@ class Machine:
     def compute(self, duration):
         """Occupy one CPU slot for ``duration`` ms (``yield from`` the result).
 
-        Sub-threshold durations on an idle CPU return a bare one-event tuple
-        (no generator frame); contended or long computes queue FIFO.
+        Sub-threshold durations on an idle CPU return a direct-resume sleep
+        (no generator frame, no event); contended or long computes queue
+        FIFO.
         """
         if duration <= 0:
             return ()
@@ -81,7 +82,7 @@ class Machine:
             and len(cpu.users) < cpu.capacity
             and not cpu.queue
         ):
-            return (self.sim.timeout(duration),)
+            return self.sim.sleep(duration)
         return self._compute_queued(duration)
 
     def _compute_queued(self, duration):
@@ -91,7 +92,7 @@ class Machine:
             claim = self.cpu.request()
             yield claim
         try:
-            yield self.sim.timeout(duration)
+            yield from self.sim.sleep(duration)
         finally:
             self.cpu.release(claim)
 

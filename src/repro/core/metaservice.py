@@ -236,22 +236,32 @@ class MetadataService:
         return parent, name
 
     def _txn_assign_bucket(self, txn, node, parent_vino, pid):
-        """Pick (and count) the underlying directory for a new file."""
+        """Pick (and count) the underlying directory for a new file.
+
+        The hashed bucket is charged while it is below the cap; only a full
+        bucket asks the policy for its overflow candidates, which are then
+        walked in order.  A policy with no candidates stays uncapped.
+        """
         cap = self.config.max_entries_per_dir
         bucket = self.policy.bucket_for(node, parent_vino, pid, self.rng)
-        overflow = self.policy.overflow_candidates(bucket)
-        chosen = None
-        for candidate in itertools.chain([bucket], overflow):
-            row = txn.read_for_update("buckets", candidate) \
-                or {"path": candidate, "count": 0}
-            if cap <= 0 or not overflow or row["count"] < cap:
-                row["count"] += 1
-                txn.write("buckets", row)
-                chosen = candidate
-                break
-        if chosen is None:  # pragma: no cover - overflow space exhausted
-            raise FsError.einval("placement space exhausted")
-        return chosen
+        row = self._txn_bucket_row(txn, bucket)
+        if cap > 0 and row["count"] >= cap:
+            overflow = self.policy.overflow_candidates(bucket)
+            for candidate in overflow:
+                row = self._txn_bucket_row(txn, candidate)
+                if row["count"] < cap:
+                    break
+            else:
+                if overflow:  # pragma: no cover - overflow space exhausted
+                    raise FsError.einval("placement space exhausted")
+        row["count"] += 1
+        txn.write("buckets", row)
+        return row["path"]
+
+    @staticmethod
+    def _txn_bucket_row(txn, path):
+        return txn.read_for_update("buckets", path) \
+            or {"path": path, "count": 0}
 
     def _txn_bucket_adjust(self, txn, upath, delta):
         """Adjust the placement counter charged for ``upath``'s bucket.

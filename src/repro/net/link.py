@@ -42,7 +42,7 @@ class Link:
         Completes when the message has fully arrived at the other end
         (store-and-forward: a following hop may only start then).  Small
         messages on an idle link skip the FIFO bookkeeping entirely — the
-        fast path is a bare one-event tuple, no generator frame.  Note the
+        fast path is a direct-resume sleep, no generator frame.  Note the
         carried-bytes/messages counters are credited at send time on this
         path (delivery time on the queued path); they are end-of-run
         diagnostics, not instantaneous utilization gauges.
@@ -51,7 +51,7 @@ class Link:
         if size < self.FAST_PATH_BYTES and not wire.users and not wire.queue:
             self.bytes_carried += size
             self.messages_carried += 1
-            return (self.sim.timeout(self.transmit_time(size) + self.latency),)
+            return self.sim.sleep(self.transmit_time(size) + self.latency)
         return self._transmit_queued(size)
 
     def _transmit_queued(self, size):
@@ -62,11 +62,11 @@ class Link:
             claim = wire.request()
             yield claim
         try:
-            yield self.sim.timeout(self.transmit_time(size))
+            yield from self.sim.sleep(self.transmit_time(size))
         finally:
             wire.release(claim)
         if self.latency:
-            yield self.sim.timeout(self.latency)
+            yield from self.sim.sleep(self.latency)
         self.bytes_carried += size
         self.messages_carried += 1
 

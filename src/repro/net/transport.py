@@ -10,7 +10,8 @@ the reply transfer is still paid.
 Small messages on an all-idle route take a collapsed fast path: the whole
 store-and-forward traversal is one scheduled completion event (the sum of
 the per-hop serialization + propagation delays, accumulated with the same
-float rounding) instead of one generator and one timeout per hop.  Wire
+float rounding) instead of one generator and one timeout per hop: a
+direct-resume ``sleep_until`` of the sending process, with no event.  Wire
 occupancy is checked for every hop at *send* time rather than at the
 message's arrival at each hop, and per-link counters are credited at send
 time — a deliberate approximation in the same spirit as the pre-existing
@@ -21,7 +22,6 @@ leaves every figure's simulated results unchanged.
 """
 
 from repro.net.link import Link
-from repro.sim.events import Timeout
 
 _FAST_PATH_BYTES = Link.FAST_PATH_BYTES
 
@@ -73,7 +73,7 @@ class Network:
                 for _wire, _bw, _lat, link in hops:
                     link.bytes_carried += size
                     link.messages_carried += 1
-                return (Timeout(sim, when, absolute=True),)
+                return sim.sleep_until(when)
         return self._transfer_hops(
             [link for _wire, _bw, _lat, link in hops], size
         )

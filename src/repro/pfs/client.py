@@ -25,12 +25,11 @@ import itertools
 
 from repro.pfs.cache import LruDict
 from repro.pfs.errors import FsError
-from repro.sim.events import Timeout
 from repro.pfs.pagecache import DataPath
 from repro.pfs.tokens import RO, XW
 from repro.pfs.tokenclient import TokenClient
 from repro.pfs.types import (
-    DIRECTORY, FILE, SYMLINK, OpenFlags, components, split,
+    DIRECTORY, FILE, SYMLINK, FileAttr, OpenFlags, components, split,
 )
 from repro.pfs.vfs import FileSystemApi
 from repro.pfs.wal import ClientWal
@@ -125,7 +124,7 @@ class PfsClient(FileSystemApi):
                 prepared = self._prefix_try(hit)
                 if prepared is not None:
                     entries, when = prepared
-                    yield Timeout(self.sim, when, absolute=True)
+                    yield from self.sim.sleep_until(when)
                     for entry in entries:
                         entry.unpin()
                     ino = hit[0]
@@ -408,6 +407,11 @@ class PfsClient(FileSystemApi):
             if inode is None:
                 raise FsError.enoent(f"inode {ino}")
             got = inode.attr()
+        elif type(got) is tuple:
+            # The reply carries field tuples; build the one FileAttr read
+            # here and keep it in the shared reply, so coalesced waiters
+            # on the same ino get the same object.
+            got = attrs[ino] = FileAttr(*got)
         entry.payload = got
 
     def _attr_flush_cb(self, ino, entry):

@@ -53,10 +53,14 @@ class Inode:
 
     def attr(self):
         """A stat snapshot of this inode."""
+        return FileAttr(*self.attr_fields())
+
+    def attr_fields(self):
+        """The :class:`FileAttr` fields of a stat snapshot, as a tuple."""
         kind = self.kind
         size = len(self.dir) if kind == DIRECTORY else self.size
-        return FileAttr(self.ino, kind, self.mode, self.uid, self.gid,
-                        size, self.nlink, self.atime, self.mtime, self.ctime)
+        return (self.ino, kind, self.mode, self.uid, self.gid,
+                size, self.nlink, self.atime, self.mtime, self.ctime)
 
 
 class InodeTable:
@@ -127,7 +131,17 @@ class InodeTable:
         """The inode-block id (fetch/cache granule) holding ``ino``."""
         return ino // self.pack
 
-    def inos_in_block(self, block_id):
-        """All live inode numbers packed in ``block_id``."""
+    def attr_snapshot(self, block_id):
+        """``{ino: attr fields}`` of every live inode in ``block_id``.
+
+        Plain tuples (see :meth:`Inode.attr_fields`), taken now: the reader
+        builds the :class:`FileAttr` of the one inode it wants.
+        """
         lo = block_id * self.pack
-        return [i for i in range(lo, lo + self.pack) if i in self._inodes]
+        get = self._inodes.get
+        snapshot = {}
+        for ino in range(lo, lo + self.pack):
+            inode = get(ino)
+            if inode is not None:
+                snapshot[ino] = inode.attr_fields()
+        return snapshot

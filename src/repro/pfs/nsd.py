@@ -66,18 +66,16 @@ class NsdServer:
     def fetch_attr_block(self, block_id):
         """RPC handler: all live attrs packed in inode block ``block_id``.
 
-        A cache miss reads the block from the metadata disk.
+        A cache miss reads the block from the metadata disk.  The reply
+        maps each live ino to its attribute fields as a plain tuple,
+        snapshotted when the handler runs (see
+        :meth:`repro.pfs.inode.InodeTable.attr_snapshot`).
         """
         yield from self.machine.compute(self.config.nsd_cpu_ms)
         if self._inode_cache.get(block_id) is None:
             yield from self.meta_disk.read(self.config.meta_block_bytes)
             self._inode_cache.put(block_id, True)
-        attrs = {}
-        for ino in self.state.inodes.inos_in_block(block_id):
-            inode = self.state.inodes.get(ino)
-            if inode is not None:
-                attrs[ino] = inode.attr()
-        return attrs
+        return self.state.inodes.attr_snapshot(block_id)
 
     def put_attr(self, ino):
         """RPC handler: attribute write-back for ``ino``.

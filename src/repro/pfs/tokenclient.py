@@ -305,8 +305,9 @@ class TokenClient:
             yield from self.machine.compute(self.config.revoke_cpu_ms / 2)
             return "not-held"
         entry.revoking = True
-        with self._revoke_service.request() as claim:
-            yield claim
+        with self._revoke_service.claim() as claim:
+            if not claim.processed:
+                yield claim
             while entry.pins > 0:
                 gate = self.sim.event()
                 entry._waiters.append(gate)

@@ -95,12 +95,14 @@ class TokenServer:
         grant is *pushed* to the requester (an ``install`` message) while the
         key is still locked, so a revocation triggered by the next queued
         request can never overtake the grant — the race would otherwise
-        leave two nodes believing they hold conflicting tokens.
+        leave two nodes believing they hold conflicting tokens.  A free key
+        lock is claimed synchronously (no grant event).
         """
         yield from self.machine.compute(self.config.token_server_cpu_ms)
         state = self._state(key)
-        with state.lock.request() as claim:
-            yield claim
+        with state.lock.claim() as claim:
+            if not claim.processed:
+                yield claim
             yield from self._revoke_conflicts(state, key, node, mode)
             held = state.holders.get(node)
             if held is None or not mode_covers(held, mode):
@@ -144,8 +146,9 @@ class TokenServer:
         state = self._keys.get(key)
         if state is None:
             return 0
-        with state.lock.request() as claim:
-            yield claim
+        with state.lock.claim() as claim:
+            if not claim.processed:
+                yield claim
             victims = [n for n in state.holders if n != node]
             yield from self._revoke_nodes(victims, key, None)
             for victim in victims:
@@ -175,16 +178,22 @@ class TokenServer:
         if not victims:
             return
         self.revocations += len(victims)
+        if len(victims) == 1:
+            # One holder: revoke it inline, without a child process and a
+            # join event.
+            yield from self._revoke_call(victims[0], key, downgrade_to)
+            return
         calls = [
-            self.sim.process(
-                self.machine.call(
-                    self._clients[victim], "tokens", "revoke",
-                    args=(key, downgrade_to),
-                    req_size=self.config.token_msg_bytes,
-                    resp_size=self.config.token_msg_bytes,
-                ),
-                name=f"revoke:{victim}",
-            )
+            self.sim.process(self._revoke_call(victim, key, downgrade_to),
+                             name=f"revoke:{victim}")
             for victim in victims
         ]
         yield self.sim.all_of(calls)
+
+    def _revoke_call(self, victim, key, downgrade_to):
+        return self.machine.call(
+            self._clients[victim], "tokens", "revoke",
+            args=(key, downgrade_to),
+            req_size=self.config.token_msg_bytes,
+            resp_size=self.config.token_msg_bytes,
+        )

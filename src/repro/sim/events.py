@@ -126,16 +126,8 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim, delay, value=None, *, absolute=False):
-        if absolute:
-            # ``delay`` is an absolute virtual time.  Scheduling at the
-            # caller-computed instant (rather than now + (when - now))
-            # keeps collapsed multi-hop delays bit-identical to the
-            # hop-by-hop float accumulation they replace.
-            when = delay
-            delay = when - sim.now
-        else:
-            when = sim.now + delay
+    def __init__(self, sim, delay, value=None):
+        when = sim.now + delay
         if delay < 0:
             raise SimError(f"negative timeout delay: {delay}")
         self.sim = sim

@@ -2,10 +2,10 @@
 
 :class:`Simulator` owns the virtual clock and the event heap.
 :class:`Process` drives a generator: every value the generator yields must be
-an :class:`~repro.sim.events.Event`; the process suspends until the event is
-processed and is resumed with the event's value (or has the event's exception
-thrown into it).  A process is itself an event that triggers when the
-generator returns.
+an :class:`~repro.sim.events.Event` (or come from ``yield from sim.sleep(d)``,
+see below); the process suspends until the event is processed and is resumed
+with the event's value (or has the event's exception thrown into it).  A
+process is itself an event that triggers when the generator returns.
 
 The hot loop is engineered around two observations from profiling the
 paper's benchmarks (tens of millions of resumes per figure):
@@ -15,7 +15,16 @@ paper's benchmarks (tens of millions of resumes per figure):
   entries (``KIND_RESUME``) that re-enter the generator straight off the
   heap, preserving the exact (time, sequence) ordering the probe had;
 - heap entries are flat ``(when, seq, kind, obj, ok, value)`` tuples, so
-  scheduling allocates one tuple and nothing else.
+  scheduling allocates one tuple and nothing else;
+- a process that only waits out a fresh delay (a CPU charge, a disk or
+  wire service time, a collapsed transfer) does not need a ``Timeout``
+  event either: :meth:`Simulator.sleep` / :meth:`Simulator.sleep_until`
+  schedule a ``KIND_RESUME`` entry for the *running* process at the same
+  ``(time, sequence)`` the timeout would have taken and return a
+  one-element tuple for the caller to ``yield from`` at once.  The
+  process's step sees the sleep marker and registers no callback; the
+  heap entry re-enters the generator directly.  No event is allocated and
+  no callback dispatched.
 
 Sequence numbers are consumed exactly as in the event-based formulation
 (one per schedule), so same-time tie-breaking — and therefore every
@@ -31,6 +40,11 @@ from repro.sim.events import (
     KIND_CALL, KIND_PROCESS, KIND_RESUME, KIND_TRIGGER,
     PENDING, AllOf, AnyOf, Event, Timeout,
 )
+
+#: What a sleeping process yields (``yield from sim.sleep(d)`` yields the
+#: single element of :data:`_SLEEP`): its resume is already on the heap.
+SLEEPING = object()
+_SLEEP = (SLEEPING,)
 
 #: Optional tracer hook (set by :func:`repro.obs.enable`).  When ``None``
 #: (the default) the kernel pays one module-global load and a ``None``
@@ -140,6 +154,8 @@ class Process(Event):
                 self.fail(exc)
                 return
             raise
+        if yielded is SLEEPING:
+            return  # Simulator.sleep already queued the resume
         if isinstance(yielded, Event):
             if not yielded._processed:
                 self._waiting_on = yielded
@@ -220,6 +236,46 @@ class Simulator:
     def timeout(self, delay, value=None):
         """Create an event firing ``delay`` ms from now."""
         return Timeout(self, delay, value)
+
+    def sleep(self, delay):
+        """Suspend the running process for ``delay`` ms (``yield from`` it).
+
+        The direct-resume equivalent of ``yield sim.timeout(delay)``: the
+        same heap position (``now + delay``, next sequence number) and the
+        same single processed heap entry, but no :class:`Timeout` object
+        and no callback dispatch.  The wait is scheduled *now*, for the
+        process whose generator is executing, so the returned tuple must
+        be yielded from straight away.
+        """
+        if delay < 0:
+            raise SimError(f"negative sleep delay: {delay}")
+        return self._sleep_at(self.now + delay)
+
+    def sleep_until(self, when):
+        """Like :meth:`sleep`, but wake at the absolute virtual time ``when``.
+
+        Scheduling at the caller-computed instant (rather than
+        ``now + (when - now)``) keeps collapsed multi-hop delays
+        bit-identical to the hop-by-hop float accumulation they replace.
+        """
+        if when < self.now:
+            raise SimError(
+                f"sleep_until({when}) is in the past (now={self.now})")
+        return self._sleep_at(when)
+
+    def _sleep_at(self, when):
+        proc = self.current
+        if (proc is None or proc._pending_resume is not None
+                or not proc.generator.gi_running):
+            raise SimError(
+                "sleep needs a running process: call it from a process "
+                "body and yield from the result at once"
+            )
+        self._sequence += 1
+        entry = (when, self._sequence, KIND_RESUME, proc, True, None)
+        proc._pending_resume = entry
+        heappush(self._heap, entry)
+        return _SLEEP
 
     def process(self, generator, name=None):
         """Spawn ``generator`` as a new process, returning it."""
@@ -316,6 +372,15 @@ class Simulator:
         if not proc.ok:
             raise proc.value
         return proc.value
+
+    @property
+    def sequence(self):
+        """Heap entries scheduled so far (the last sequence number).
+
+        Deterministic for a given model and inputs, so a run's final value
+        is a host-cost figure that needs no timing.
+        """
+        return self._sequence
 
     @property
     def events_processed(self):

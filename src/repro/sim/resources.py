@@ -92,6 +92,18 @@ class Resource:
             return req
         return None
 
+    def claim(self):
+        """:meth:`request_nowait` when a slot is free, else :meth:`request`.
+
+        The caller yields on the claim only while it is not yet
+        ``processed`` (a queued request); a free slot costs no event::
+
+            with resource.claim() as claim:
+                if not claim.processed:
+                    yield claim
+        """
+        return self.request_nowait() or self.request()
+
     def release(self, request):
         """Return a slot; grants the next queued request, if any.
 

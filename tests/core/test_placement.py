@@ -92,3 +92,55 @@ def test_bucket_always_under_root(node, parent, pid):
     bucket = policy.bucket_for(node, parent, pid, random.Random(0))
     assert bucket.startswith(cfg.underlying_root + "/")
     assert " " not in bucket
+
+
+class CountingPolicy(HashPlacementPolicy):
+    """The unrandomized hash policy, counting overflow-candidate calls."""
+
+    def __init__(self, config):
+        super().__init__(config, randomize=False)
+        self.overflow_calls = 0
+
+    def overflow_candidates(self, bucket):
+        self.overflow_calls += 1
+        return super().overflow_candidates(bucket)
+
+
+def _create_files(host, count, start=0):
+    cfs = host.mounts[0]
+
+    def main():
+        for i in range(start, start + count):
+            fh = yield from cfs.create(f"/d/f{i}")
+            yield from cfs.close(fh)
+
+    host.run(main())
+
+
+def test_overflow_candidates_are_built_only_for_a_full_bucket():
+    from tests.core.conftest import MountedCofs
+
+    cfg = CofsConfig(max_entries_per_dir=4)
+    policy = CountingPolicy(cfg)
+    host = MountedCofs(n_clients=1, cofs_config=cfg, policy=policy)
+    host.run(host.mounts[0].mkdir("/d"))
+    _create_files(host, 4)
+    assert policy.overflow_calls == 0  # below the cap: no candidate list
+    (bucket,) = host.mds.bucket_counts()
+    _create_files(host, 6, start=4)
+    # Every create past the cap walks the candidates from the first:
+    # .o01 fills to the cap before .o02 is charged.
+    assert policy.overflow_calls == 6
+    counts = host.mds.bucket_counts()
+    assert counts == {bucket: 4, f"{bucket}.o01": 4, f"{bucket}.o02": 2}
+
+
+def test_policy_without_candidates_stays_uncapped():
+    from tests.core.conftest import MountedCofs
+
+    cfg = CofsConfig(max_entries_per_dir=4)
+    host = MountedCofs(n_clients=1, cofs_config=cfg,
+                       policy=IdentityPlacementPolicy(cfg))
+    host.run(host.mounts[0].mkdir("/d"))
+    _create_files(host, 10)
+    assert list(host.mds.bucket_counts().values()) == [10]

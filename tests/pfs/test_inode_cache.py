@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.pfs.cache import LruDict
 from repro.pfs.inode import InodeTable
-from repro.pfs.types import DIRECTORY, FILE, SYMLINK
+from repro.pfs.types import DIRECTORY, FILE, SYMLINK, FileAttr
 
 
 def alloc(table, creator="n0", kind=FILE):
@@ -57,8 +57,10 @@ def test_block_packing():
     inos = [alloc(t, "a").ino for _ in range(10)]
     blocks = {t.block_of(i) for i in inos}
     assert len(blocks) == 2  # 10 inodes over 8-inode blocks
-    in_block = t.inos_in_block(t.block_of(inos[0]))
-    assert inos[0] in in_block
+    first = t.block_of(inos[0])
+    snapshot = t.attr_snapshot(first)
+    assert sorted(snapshot) == [i for i in inos if t.block_of(i) == first]
+    assert FileAttr(*snapshot[inos[0]]) == t.get(inos[0]).attr()
 
 
 def test_inode_kinds():
